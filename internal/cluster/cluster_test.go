@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/relation"
@@ -633,5 +634,152 @@ func TestRouterServiceSurface(t *testing.T) {
 	}
 	if _, err := f.router.Collections(ctx); serve.ErrorCode(err) != serve.CodeUnavailable {
 		t.Fatalf("all-down listing: got %v", err)
+	}
+}
+
+// syncStall holds one replica's next record replay — the replica half
+// of a write — until release is closed, and counts the shard solves the
+// fleet serves meanwhile.
+type syncStall struct {
+	replica string // node whose ApplyDelta stalls once armed
+	armed   atomic.Bool
+	stalled atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	solves  atomic.Int64 // shard solves served while stalled
+}
+
+// stallNode puts a gated node behind a shared syncStall.
+type stallNode struct {
+	*gate
+	name string
+	s    *syncStall
+}
+
+func (n *stallNode) ApplyDelta(ctx context.Context, name string, delta relation.Delta) (serve.DeltaInfo, error) {
+	if n.name == n.s.replica && n.s.armed.CompareAndSwap(true, false) {
+		n.s.stalled.Store(true)
+		defer n.s.stalled.Store(false)
+		close(n.s.entered)
+		<-n.s.release
+	}
+	return n.gate.ApplyDelta(ctx, name, delta)
+}
+
+func (n *stallNode) Solve(ctx context.Context, req serve.Request) (*serve.Response, error) {
+	if n.s.stalled.Load() {
+		n.s.solves.Add(1)
+	}
+	return n.gate.Solve(ctx, req)
+}
+
+// TestFanoutRetryWaitsForReplicaSync is the regression test for the
+// straddle flake: a sharded solve issued while a delta has reached the
+// primary but not yet the replica sees skewed partials. Its retry must
+// wait for the write to finish syncing — no shard solve beyond the
+// first fan-out's may run while the replica is stalled — and then answer
+// on the settled content exactly as a single node does. Retrying at
+// once straddled the same write on every attempt.
+func TestFanoutRetryWaitsForReplicaSync(t *testing.T) {
+	const coll = "fleet"
+	ctx := context.Background()
+	f := newFleet(t, 2, 2, nil)
+	stall := &syncStall{entered: make(chan struct{}), release: make(chan struct{})}
+	var nodes []Node
+	for i, g := range f.gates {
+		nodes = append(nodes, Node{Name: f.names[i], Svc: &stallNode{gate: g, name: f.names[i], s: stall}})
+	}
+	router, err := New(Options{Nodes: nodes, Replicas: 2, ShardSolves: map[string]int{coll: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := experiments.WorkloadDB(30)
+	if _, err := router.PutCollection(ctx, coll, db); err != nil {
+		t.Fatal(err)
+	}
+	ref := serve.NewServer(serve.Options{})
+	defer ref.Close()
+	ref.SetCollection(coll, db)
+	items, err := experiments.SampleWorkload(rand.New(rand.NewSource(3)), 1, db, []string{"count"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := itemRequest(coll, items[0])
+
+	// A first delta moves the replica's cursor past the install, so the
+	// next sync replays records (ApplyDelta) instead of a snapshot.
+	for round := 0; round < 2; round++ {
+		delta, err := experiments.ChurnDelta("poi", round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			if _, err := router.ApplyDelta(ctx, coll, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ref.Service().ApplyDelta(ctx, coll, delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The second delta lands on the primary first and then syncs the
+	// replica, which stalls with the old content while the write holds
+	// the collection's writer lock.
+	stall.replica = ordered(router.owners(coll))[1].name
+	stall.armed.Store(true)
+	delta, err := experiments.ChurnDelta("poi", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := router.ApplyDelta(ctx, coll, delta)
+		wrote <- err
+	}()
+	<-stall.entered
+
+	type solved struct {
+		resp *serve.Response
+		err  error
+	}
+	done := make(chan solved, 1)
+	go func() {
+		resp, err := router.Solve(ctx, req)
+		done <- solved{resp, err}
+	}()
+	// The first fan-out straddles the write; wait until it has counted
+	// its retry, then let the replica sync finish.
+	for router.RouterStats().VersionRetries == 0 {
+		select {
+		case got := <-done:
+			t.Fatalf("solve returned before any retry: %+v", got)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(stall.release)
+	if err := <-wrote; err != nil {
+		t.Fatalf("delta: %v", err)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("fan-out across a syncing write failed: %v", got.err)
+	}
+	if n := stall.solves.Load(); n != 2 {
+		t.Fatalf("%d shard solves ran while the replica sync was stalled, want the first fan-out's 2: a retry straddled the write", n)
+	}
+
+	want, err := ref.Service().Solve(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj, _ := json.Marshal(got.resp.Result)
+	wj, _ := json.Marshal(want.Result)
+	if string(gj) != string(wj) || got.resp.Fingerprint != want.Fingerprint {
+		t.Fatalf("fan-out answer diverged from the single node after the write:\nfleet:  %s (%s)\nsingle: %s (%s)",
+			gj, got.resp.Fingerprint, wj, want.Fingerprint)
+	}
+	if st := router.RouterStats(); st.VersionRetries < 1 || st.FanoutSolves != 1 {
+		t.Fatalf("router stats: %+v, want versionRetries >= 1 and one fan-out", st)
 	}
 }

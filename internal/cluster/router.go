@@ -253,13 +253,21 @@ var errVersionSkew = errors.New("cluster: shard partials straddled a collection 
 // so the sibling shards launch with it as their FloorHint and prune
 // from the first node of their walks. Partials must agree on the
 // collection version; a skewed set — a delta landed mid-fan-out — is
-// retried, bounded, against the moved version.
+// retried, bounded, once the write that moved the version has finished
+// syncing the replica set. A fan-out still skewed after the last retry
+// fails as a retryable UnavailableError.
 func (r *Router) solveSharded(ctx context.Context, req serve.Request, owners []*node, w int) (*serve.Response, error) {
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
 		resp, err := r.fanout(ctx, req, owners, w)
-		if errors.Is(err, errVersionSkew) && attempt < 3 {
+		if errors.Is(err, errVersionSkew) {
+			if attempt == 3 {
+				return nil, &serve.UnavailableError{Err: err}
+			}
 			r.stats.add(&r.stats.versionRetries, 1)
+			if err := r.settle(ctx, req.Collection); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		if err != nil {
@@ -269,6 +277,28 @@ func (r *Router) solveSharded(ctx context.Context, req serve.Request, owners []*
 		r.stats.add(&r.stats.mergedPartials, uint64(w))
 		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 		return resp, nil
+	}
+}
+
+// settle waits until no write to collection is in flight. A skewed
+// fan-out means a write is still syncing the replica set under the
+// collection's writer lock, and a retry launched before it finishes
+// straddles it again. The waiter goroutine exits once it has taken and
+// released the lock, that is when the writes queued ahead of it finish.
+func (r *Router) settle(ctx context.Context, collection string) error {
+	w := r.writer(collection)
+	done := make(chan struct{})
+	go func() {
+		//lint:ignore SA2001 the empty critical section waits out the writer
+		w.Lock()
+		w.Unlock()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

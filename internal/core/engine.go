@@ -28,52 +28,66 @@ import (
 // Both cuts are answer-preserving by construction, so the bound-driven
 // engine returns results identical to the exhaustive one.
 
-// dfsPath is the mutable state of one depth-first walk: the tuples on the
-// current path in canonical order, the incrementally maintained package key,
-// and incremental cost/val aggregator state. Candidates are pushed in
-// canonical tuple order (Candidates sorts the list), so materialised
-// packages need no re-sorting and the steppers fold floating-point
-// operations in exactly the order a full Eval would — per-node cost/val drop
-// from O(|N|) recomputes to O(1) without changing a single bit of output.
-// A dfsPath belongs to one goroutine.
+// dfsPath is the mutable state of one depth-first walk: the ids of the
+// candidates on the current path (ascending, so the path is in canonical
+// tuple order), the incrementally maintained package key, and incremental
+// cost/val aggregator state. The key is built from the problem's key table
+// (Problem.candKeys), computed once per candidate at Prepare, so a push
+// appends precomputed bytes instead of formatting a tuple. Candidates are
+// pushed in canonical tuple order (Candidates sorts the list), so
+// materialised packages need no re-sorting and the steppers fold
+// floating-point operations in exactly the order a full Eval would —
+// per-node cost/val drop from O(|N|) recomputes to O(1) without changing a
+// single bit of output.
+//
+// A node's Package is materialised only on demand (pkg): for the Prune
+// hint, a compatibility check, an aggregator without a stepper, or a
+// solver that keeps the package. Counting and feasibility walks therefore
+// visit every node without allocating. A dfsPath belongs to one goroutine.
 type dfsPath struct {
-	tuples  []relation.Tuple
+	cands   []relation.Tuple
+	keys    []string
+	ids     []int
 	keyBuf  []byte
-	keyLens []int
 	costAgg Aggregator
 	valAgg  Aggregator
 	costSt  Stepper // nil → recompute via costAgg.Eval
 	valSt   Stepper // nil → recompute via valAgg.Eval
+	// built is the package materialised at the current node when
+	// hasBuilt is set; push and pop clear the flag.
+	built    Package
+	hasBuilt bool
 }
 
 func newDFSPath(p *Problem) *dfsPath {
 	return &dfsPath{
+		cands: p.candList, keys: p.candKeys,
 		costAgg: p.Cost, valAgg: p.Val,
 		costSt: p.Cost.NewStepper(), valSt: p.Val.NewStepper(),
 	}
 }
 
-// push extends the path by one tuple (which must follow the current tuples
-// in canonical order).
-func (d *dfsPath) push(t relation.Tuple) {
-	d.tuples = append(d.tuples, t)
-	d.keyLens = append(d.keyLens, len(d.keyBuf))
-	d.keyBuf = append(d.keyBuf, t.Key()...)
+// push extends the path by candidate id (which must exceed every id on
+// the path).
+func (d *dfsPath) push(id int) {
+	d.ids = append(d.ids, id)
+	d.keyBuf = append(d.keyBuf, d.keys[id]...)
 	d.keyBuf = append(d.keyBuf, ';')
+	d.hasBuilt = false
 	if d.costSt != nil {
-		d.costSt.Push(t)
+		d.costSt.Push(d.cands[id])
 	}
 	if d.valSt != nil {
-		d.valSt.Push(t)
+		d.valSt.Push(d.cands[id])
 	}
 }
 
-// pop removes the most recently pushed tuple.
+// pop removes the most recently pushed candidate.
 func (d *dfsPath) pop() {
-	n := len(d.tuples) - 1
-	d.keyBuf = d.keyBuf[:d.keyLens[n]]
-	d.keyLens = d.keyLens[:n]
-	d.tuples = d.tuples[:n]
+	n := len(d.ids) - 1
+	d.keyBuf = d.keyBuf[:len(d.keyBuf)-len(d.keys[d.ids[n]])-1]
+	d.ids = d.ids[:n]
+	d.hasBuilt = false
 	if d.costSt != nil {
 		d.costSt.Pop()
 	}
@@ -82,44 +96,34 @@ func (d *dfsPath) pop() {
 	}
 }
 
-func (d *dfsPath) len() int { return len(d.tuples) }
+func (d *dfsPath) len() int { return len(d.ids) }
 
-// pkg materialises the current path as a Package. The path is already in
-// canonical order with the key precomputed, so this is a plain copy —
-// NewPackage's sort and dedup are skipped.
+// pkg materialises the current path as a Package, once per node. The path
+// is already in canonical order with the key precomputed, so this is a
+// plain copy — NewPackage's sort and dedup are skipped.
 func (d *dfsPath) pkg() Package {
-	ts := make([]relation.Tuple, len(d.tuples))
-	copy(ts, d.tuples)
-	return Package{tuples: ts, key: string(d.keyBuf)}
-}
-
-// cost returns cost(pkg) for the package at the current path.
-func (d *dfsPath) cost(pkg Package) float64 {
-	if d.costSt != nil {
-		return d.costSt.Value()
+	if !d.hasBuilt {
+		ts := make([]relation.Tuple, len(d.ids))
+		for i, id := range d.ids {
+			ts[i] = d.cands[id]
+		}
+		d.built = Package{tuples: ts, key: string(d.keyBuf)}
+		d.hasBuilt = true
 	}
-	return d.costAgg.Eval(pkg)
+	return d.built
 }
 
-// val returns val(pkg) for the package at the current path.
-func (d *dfsPath) val(pkg Package) float64 {
-	if d.valSt != nil {
-		return d.valSt.Value()
-	}
-	return d.valAgg.Eval(pkg)
-}
-
-// curCost returns the cost of the current path for bound queries,
-// materialising a package only when the aggregator has no stepper.
-func (d *dfsPath) curCost() float64 {
+// cost returns the cost of the current path, materialising the package
+// only when the aggregator has no stepper.
+func (d *dfsPath) cost() float64 {
 	if d.costSt != nil {
 		return d.costSt.Value()
 	}
 	return d.costAgg.Eval(d.pkg())
 }
 
-// curVal is curCost's val counterpart.
-func (d *dfsPath) curVal() float64 {
+// val is cost's val counterpart.
+func (d *dfsPath) val() float64 {
 	if d.valSt != nil {
 		return d.valSt.Value()
 	}
@@ -241,10 +245,11 @@ func (c *EngineCounters) addTo(dst *EngineCounters) {
 	dst.SessionNodesSaved.Add(c.SessionNodesSaved.Load())
 }
 
-// pathYield receives each valid package together with the path state, whose
-// val method gives the package's rating in O(1). Returning false stops the
-// enumeration (in the parallel engine: all workers).
-type pathYield func(pkg Package, path *dfsPath) (bool, error)
+// pathYield receives each valid package as the path's current node: val
+// gives its rating in O(1), keyBuf its canonical key, and pkg materialises
+// it for a solver that keeps it. Returning false stops the enumeration (in
+// the parallel engine: all workers).
+type pathYield func(path *dfsPath) (bool, error)
 
 // walkSubtree enumerates the valid packages whose smallest candidate index
 // is root, in canonical DFS order, mirroring the validity and pruning rules
@@ -256,7 +261,7 @@ type pathYield func(pkg Package, path *dfsPath) (bool, error)
 // cancellation flag; path must be empty on entry and is empty again on
 // return.
 func (p *Problem) walkSubtree(path *dfsPath, root, maxSize int, st strategy, yield pathYield, stop *atomic.Bool) (bool, error) {
-	cands := p.candList
+	n := len(p.candList)
 	var nodes, yields, prunes, boundEvals int64
 	if p.Counters != nil {
 		defer func() {
@@ -268,33 +273,36 @@ func (p *Problem) walkSubtree(path *dfsPath, root, maxSize int, st strategy, yie
 	}
 	bounded := st.active()
 	// cutBelow reports whether the subtree below the current node — every
-	// strict extension drawing from cands[next:], at most rem more tuples —
-	// can be skipped. Called only when children exist (next < len(cands) and
-	// the path is below maxSize), after the node itself has been handled.
+	// strict extension drawing from p.candList[next:], at most rem more
+	// tuples — can be skipped. Called only when children exist (next < n
+	// and the path is below maxSize), after the node itself has been
+	// handled.
 	cutBelow := func(next int) bool {
 		var cost, val float64
 		if st.costLB != nil {
-			cost = path.curCost()
+			cost = path.cost()
 		}
 		if st.floor != nil {
-			val = path.curVal()
+			val = path.val()
 		}
 		return st.cutBelow(cost, val, path.len(), next, maxSize-path.len(), p.Budget, &boundEvals, &prunes)
 	}
 	visit := func() (descend, cont bool, err error) {
 		nodes++
-		pkg := path.pkg()
-		if p.Prune != nil && p.Prune(pkg) {
+		if p.Prune != nil && p.Prune(path.pkg()) {
 			return false, true, nil
 		}
-		if path.cost(pkg) <= p.Budget {
-			ok, err := p.Compatible(pkg)
-			if err != nil {
-				return false, false, err
+		if path.cost() <= p.Budget {
+			ok := true
+			if p.Qc != nil || p.CompatFn != nil {
+				var err error
+				if ok, err = p.Compatible(path.pkg()); err != nil {
+					return false, false, err
+				}
 			}
 			if ok {
 				yields++
-				c, err := yield(pkg, path)
+				c, err := yield(path)
 				if err != nil || !c {
 					return false, c, err
 				}
@@ -312,14 +320,14 @@ func (p *Problem) walkSubtree(path *dfsPath, root, maxSize int, st strategy, yie
 		if path.len() >= maxSize {
 			return true, nil
 		}
-		for i := start; i < len(cands); i++ {
+		for i := start; i < n; i++ {
 			if stop.Load() {
 				return false, nil
 			}
-			path.push(cands[i])
+			path.push(i)
 			descend, cont, err := visit()
 			if err == nil && cont && descend &&
-				!(bounded && i+1 < len(cands) && path.len() < maxSize && cutBelow(i+1)) {
+				!(bounded && i+1 < n && path.len() < maxSize && cutBelow(i+1)) {
 				cont, err = walk(i + 1)
 			}
 			path.pop()
@@ -332,13 +340,13 @@ func (p *Problem) walkSubtree(path *dfsPath, root, maxSize int, st strategy, yie
 	if stop.Load() {
 		return false, nil
 	}
-	path.push(cands[root])
+	path.push(root)
 	defer path.pop()
 	descend, cont, err := visit()
 	if err != nil || !cont {
 		return cont, err
 	}
-	if descend && !(bounded && root+1 < len(cands) && path.len() < maxSize && cutBelow(root+1)) {
+	if descend && !(bounded && root+1 < n && path.len() < maxSize && cutBelow(root+1)) {
 		return walk(root + 1)
 	}
 	return true, nil
@@ -346,10 +354,13 @@ func (p *Problem) walkSubtree(path *dfsPath, root, maxSize int, st strategy, yie
 
 // enumerateValidPath is the serial engine entry point without a val floor:
 // it enumerates every valid non-empty package in canonical DFS order with
-// incremental cost/val evaluation and cost-bound pruning. EnumerateValid is
-// built on it; solvers with a rating threshold use enumerateValidFloor.
-func (p *Problem) enumerateValidPath(yield pathYield) error {
-	return p.enumerateValidFloor(nil, yield)
+// incremental cost/val evaluation and cost-bound pruning, materialising
+// each one. EnumerateValid is built on it; solvers with a rating threshold
+// use enumerateValidFloor.
+func (p *Problem) enumerateValidPath(yield func(pkg Package, path *dfsPath) (bool, error)) error {
+	return p.enumerateValidFloor(nil, func(path *dfsPath) (bool, error) {
+		return yield(path.pkg(), path)
+	})
 }
 
 // enumerateValidFloor is enumerateValidPath with a live val floor: subtrees

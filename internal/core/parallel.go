@@ -38,8 +38,8 @@ func (p *Problem) CountValidParallelCtx(ctx context.Context, bound float64, work
 	workers = normWorkers(workers)
 	counts := make([]paddedCount, workers)
 	err := p.runParallel(ctx, workers, newFloor(bound, false), func(w int) pathYield {
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			if path.val(pkg) >= bound {
+		return func(path *dfsPath) (bool, error) {
+			if path.val() >= bound {
 				counts[w].n++
 			}
 			return true, nil
@@ -90,11 +90,8 @@ func (p *Problem) findTopKScoredParallelCtx(ctx context.Context, workers int) (s
 	floor := newFloor(math.Inf(-1), false)
 	err = p.runParallel(ctx, workers, floor, func(w int) pathYield {
 		bufs[w].k = p.K
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			bufs[w].add(scoredPkg{pkg: pkg, val: path.val(pkg)})
-			if v, full := bufs[w].floorVal(); full {
-				floor.raise(v)
-			}
+		return func(path *dfsPath) (bool, error) {
+			bufs[w].offer(path, floor)
 			return true, nil
 		}
 	})
@@ -153,11 +150,12 @@ func (p *Problem) DecideTopKParallelCtx(ctx context.Context, sel []Package, work
 	found := make([]*Package, workers)
 	// As in DecideTopK, the selection minimum is a static exclusive floor.
 	err = p.runParallel(ctx, workers, newFloor(minVal, true), func(w int) pathYield {
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			if _, inSel := seen[pkg.Key()]; inSel {
+		return func(path *dfsPath) (bool, error) {
+			if _, inSel := seen[string(path.keyBuf)]; inSel {
 				return true, nil
 			}
-			if path.val(pkg) > minVal {
+			if path.val() > minVal {
+				pkg := path.pkg()
 				found[w] = &pkg
 				return false, nil
 			}
@@ -189,8 +187,8 @@ func (p *Problem) ExistsKValidParallelCtx(ctx context.Context, k int, bound floa
 	}
 	var found atomic.Int64
 	err := p.runParallel(ctx, normWorkers(workers), newFloor(bound, false), func(int) pathYield {
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			if path.val(pkg) >= bound && found.Add(1) >= int64(k) {
+		return func(path *dfsPath) (bool, error) {
+			if path.val() >= bound && found.Add(1) >= int64(k) {
 				return false, nil // the k-th hit cancels all workers
 			}
 			return true, nil

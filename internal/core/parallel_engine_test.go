@@ -131,7 +131,7 @@ func TestDecideTopKParallelMatchesSerial(t *testing.T) {
 		minVal := math.Inf(1)
 		err = p.enumerateValidPath(func(pkg Package, path *dfsPath) (bool, error) {
 			worst = append(worst, pkg)
-			minVal = math.Min(minVal, path.val(pkg))
+			minVal = math.Min(minVal, path.val())
 			return len(worst) < p.K, nil
 		})
 		if err != nil {
@@ -215,7 +215,7 @@ func TestEnumerateValidIncrementalMatchesRecompute(t *testing.T) {
 	collect := func(pr *Problem) []seen {
 		var out []seen
 		if err := pr.enumerateValidPath(func(pkg Package, path *dfsPath) (bool, error) {
-			out = append(out, seen{pkg.Key(), path.val(pkg)})
+			out = append(out, seen{pkg.Key(), path.val()})
 			return true, nil
 		}); err != nil {
 			t.Fatal(err)

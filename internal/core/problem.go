@@ -58,6 +58,10 @@ type Problem struct {
 
 	candidates *relation.Relation
 	candList   []relation.Tuple
+	// candKeys[i] is candList[i].Key(), computed once per candidate: the
+	// engine's package keys, the session memo and the provenance table
+	// read it instead of formatting tuples again.
+	candKeys []string
 	// Memoised bound tables over candList (see newStrategy); rebuilt after
 	// InvalidateCache.
 	costBounds  Bounder
@@ -108,8 +112,12 @@ func (p *Problem) Candidates() (*relation.Relation, error) {
 		ts := append([]relation.Tuple(nil), r.Tuples()...)
 		sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 		p.candList = ts
+		p.candKeys = make([]string, len(ts))
+		for i, t := range ts {
+			p.candKeys[i] = t.Key()
+		}
 		if reads != nil {
-			p.prov = newProvenance(p, ts, reads)
+			p.prov = newProvenance(p, reads)
 		}
 		if p.Counters != nil {
 			p.Counters.Prepares.Add(1)
@@ -153,6 +161,7 @@ func (p *Problem) Prepare() error {
 func (p *Problem) InvalidateCache() {
 	p.candidates = nil
 	p.candList = nil
+	p.candKeys = nil
 	p.costBounds = nil
 	p.valBounds = nil
 	p.boundsReady = false
@@ -278,8 +287,8 @@ func (p *Problem) ExistsKValid(k int, bound float64) (bool, error) {
 		return true, nil
 	}
 	found := 0
-	err := p.enumerateValidFloor(newFloor(bound, false), func(pkg Package, path *dfsPath) (bool, error) {
-		if path.val(pkg) >= bound {
+	err := p.enumerateValidFloor(newFloor(bound, false), func(path *dfsPath) (bool, error) {
+		if path.val() >= bound {
 			found++
 			if found >= k {
 				return false, nil

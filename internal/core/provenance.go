@@ -42,19 +42,20 @@ type Provenance struct {
 	tuples map[string]relation.Tuple
 }
 
-// newProvenance indexes a traced evaluation: reads maps candidate keys to
-// source refs, cands is the candidate list the table describes.
-func newProvenance(p *Problem, cands []relation.Tuple, reads map[string][]string) *Provenance {
+// newProvenance indexes a traced evaluation of p's candidate list: reads
+// maps candidate keys to source refs.
+func newProvenance(p *Problem, reads map[string][]string) *Provenance {
+	cands := p.candList
 	v := &Provenance{
 		perCand: reads,
 		byRead:  make(map[string][]string),
 		scores:  make(map[string]Score, len(cands)),
 		tuples:  make(map[string]relation.Tuple, len(cands)),
 	}
-	for _, t := range cands {
-		k := t.Key()
+	for i, t := range cands {
+		k := p.candKeys[i]
 		v.tuples[k] = t
-		pkg := NewPackage(t)
+		pkg := Package{tuples: cands[i : i+1 : i+1], key: k + ";"}
 		v.scores[k] = Score{Cost: p.Cost.Eval(pkg), Val: p.Val.Eval(pkg)}
 		for _, ref := range reads[k] {
 			v.byRead[ref] = append(v.byRead[ref], k)
@@ -176,23 +177,37 @@ func (p *Problem) Advance(newDB *relation.Database, touched map[string]relation.
 		// read table may need refreshing (surviving candidates whose
 		// derivations were re-traced, or new redundant derivations).
 		if len(d.retraced) > 0 || len(d.merged) > 0 {
-			adv.prov = p.prov.rebuilt(p, p.candList, d)
+			adv.prov = p.prov.rebuilt(&adv, d)
 		}
 		return &adv, diff, nil
 	}
 
+	// Merge the surviving candidates (keys reused) with the added ones
+	// (keyed here); both runs are in canonical order.
 	removedKeys := make(map[string]struct{}, len(d.removed))
 	for _, t := range d.removed {
 		removedKeys[t.Key()] = struct{}{}
 	}
-	list := make([]relation.Tuple, 0, len(p.candList)+len(d.added))
-	for _, t := range p.candList {
-		if _, gone := removedKeys[t.Key()]; !gone {
-			list = append(list, t)
+	n := len(p.candList) - len(d.removed) + len(d.added)
+	list := make([]relation.Tuple, 0, n)
+	keys := make([]string, 0, n)
+	j := 0
+	for i, t := range p.candList {
+		k := p.candKeys[i]
+		if _, gone := removedKeys[k]; gone {
+			continue
 		}
+		for ; j < len(d.added) && d.added[j].Compare(t) < 0; j++ {
+			list = append(list, d.added[j])
+			keys = append(keys, d.added[j].Key())
+		}
+		list = append(list, t)
+		keys = append(keys, k)
 	}
-	list = append(list, d.added...)
-	sort.Slice(list, func(i, j int) bool { return list[i].Compare(list[j]) < 0 })
+	for ; j < len(d.added); j++ {
+		list = append(list, d.added[j])
+		keys = append(keys, d.added[j].Key())
+	}
 
 	cands := p.candidates.Clone()
 	for _, t := range d.removed {
@@ -205,9 +220,10 @@ func (p *Problem) Advance(newDB *relation.Database, touched map[string]relation.
 	}
 	adv.candidates = cands
 	adv.candList = list
+	adv.candKeys = keys
 	adv.costBounds, adv.valBounds, adv.boundsReady = nil, nil, false
 	adv.newStrategy(nil) // rebuild the bound tables over the new list
-	adv.prov = p.prov.rebuilt(&adv, list, d)
+	adv.prov = p.prov.rebuilt(&adv, d)
 	return &adv, diff, nil
 }
 
@@ -303,10 +319,9 @@ func (p *Problem) rescore(newDB *relation.Database, touched map[string]relation.
 // rebuilt produces the advanced problem's provenance table from the old
 // table and a delta pass: removed candidates dropped, re-traced candidates
 // refreshed, merged derivations unioned in, added candidates priced.
-func (v *Provenance) rebuilt(adv *Problem, cands []relation.Tuple, d *rescoreDiff) *Provenance {
-	reads := make(map[string][]string, len(cands))
-	for _, t := range cands {
-		k := t.Key()
+func (v *Provenance) rebuilt(adv *Problem, d *rescoreDiff) *Provenance {
+	reads := make(map[string][]string, len(adv.candKeys))
+	for _, k := range adv.candKeys {
 		if fresh, ok := d.retraced[k]; ok {
 			reads[k] = fresh
 		} else if r, ok := d.addedReads[k]; ok {
@@ -318,7 +333,7 @@ func (v *Provenance) rebuilt(adv *Problem, cands []relation.Tuple, d *rescoreDif
 			reads[k] = unionRefs(reads[k], extra)
 		}
 	}
-	return newProvenance(adv, cands, reads)
+	return newProvenance(adv, reads)
 }
 
 func unionRefs(a, b []string) []string {

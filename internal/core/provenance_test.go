@@ -284,3 +284,64 @@ func TestCandidateBoundsAdmissible(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvanceKeepsKeyTableAligned checks that Advance, which reuses the
+// keys of surviving candidates and keys only the added ones, leaves the
+// key table aligned with the merged candidate list when added candidates
+// land before, between and after the surviving ones.
+func TestAdvanceKeepsKeyTableAligned(t *testing.T) {
+	p := provProblem()
+	p.K = 3
+	if err := p.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	newDB, touched := applyTouched(t, p.DB, relation.Delta{
+		Upserts: []relation.RelationDelta{{Name: "item", Tuples: [][]any{{0, 1, 1}, {3, 12, 2}, {9, 3, 3}}}},
+		Deletes: []relation.RelationDelta{{Name: "item", Tuples: [][]any{{2, 20, 8}}}},
+	})
+	adv, diff, err := p.Advance(newDB, touched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diff.Added) != 3 || len(diff.Removed) != 1 {
+		t.Fatalf("diff = %+v, want three adds and one remove", diff)
+	}
+	if len(adv.candKeys) != len(adv.candList) {
+		t.Fatalf("%d keys for %d candidates", len(adv.candKeys), len(adv.candList))
+	}
+	for i, c := range adv.candList {
+		if adv.candKeys[i] != c.Key() {
+			t.Fatalf("key %d is %q, candidate %v has key %q", i, adv.candKeys[i], c, c.Key())
+		}
+	}
+	fresh := provProblem()
+	fresh.K = 3
+	fresh.DB = newDB
+	gotN, err := adv.CountValid(math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantN, err := fresh.CountValid(math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotN != wantN {
+		t.Fatalf("advanced problem counts %d packages, fresh prepare %d", gotN, wantN)
+	}
+	gotSel, gotOK, err := adv.FindTopK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSel, wantOK, err := fresh.FindTopK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOK != wantOK || len(gotSel) != len(wantSel) {
+		t.Fatalf("topk diverged: got ok=%v n=%d want ok=%v n=%d", gotOK, len(gotSel), wantOK, len(wantSel))
+	}
+	for i := range wantSel {
+		if gotSel[i].Key() != wantSel[i].Key() {
+			t.Fatalf("topk package %d diverged: %v vs %v", i, gotSel[i], wantSel[i])
+		}
+	}
+}

@@ -75,10 +75,10 @@ func (s *SolveSession) Probe(variant *Problem, salt string) (bool, *Package, err
 	return s.probe(variant, salt, func(v *Problem) (bool, *Package, error) {
 		found := 0
 		var wit *Package
-		err := v.enumerateValidFloor(s.floor, func(pkg Package, path *dfsPath) (bool, error) {
-			if path.val(pkg) >= s.Bound {
+		err := v.enumerateValidFloor(s.floor, func(path *dfsPath) (bool, error) {
+			if path.val() >= s.Bound {
 				if wit == nil {
-					p := pkg
+					p := path.pkg()
 					wit = &p
 				}
 				found++
@@ -107,10 +107,10 @@ func (s *SolveSession) ProbeParallel(ctx context.Context, variant *Problem, salt
 		var found atomic.Int64
 		wits := make([]*Package, w)
 		err := v.runParallel(ctx, w, s.floor, func(wi int) pathYield {
-			return func(pkg Package, path *dfsPath) (bool, error) {
-				if path.val(pkg) >= s.Bound {
+			return func(path *dfsPath) (bool, error) {
+				if path.val() >= s.Bound {
 					if wits[wi] == nil {
-						p := pkg
+						p := path.pkg()
 						wits[wi] = &p
 					}
 					if found.Add(1) >= int64(s.K) {
@@ -136,9 +136,17 @@ func (s *SolveSession) ProbeParallel(ctx context.Context, variant *Problem, salt
 // are swapped for a private set during the probe so the probe's own node
 // count can be recorded (and credited to resumes later); the private
 // tallies are folded back into the variant's counters afterwards.
+//
+// A probe reads a verdict, never lineage, so a variant whose candidates are
+// not yet built has TrackProvenance cleared and evaluates its selection
+// query untraced — variants copied from a provenance-tracking problem
+// would otherwise trace and index lineage only to discard it.
 func (s *SolveSession) probe(variant *Problem, salt string, run func(*Problem) (bool, *Package, error)) (bool, *Package, error) {
 	if s.K <= 0 {
 		return true, nil, nil // vacuously feasible, as in ExistsKValid
+	}
+	if variant.candidates == nil {
+		variant.TrackProvenance = false
 	}
 	orig := variant.Counters
 	priv := &EngineCounters{}
@@ -177,9 +185,9 @@ func (s *SolveSession) probe(variant *Problem, salt string, run func(*Problem) (
 func (s *SolveSession) memoKey(variant *Problem, salt string) string {
 	var b strings.Builder
 	b.WriteString(salt)
-	for _, t := range variant.candList {
+	for _, k := range variant.candKeys {
 		b.WriteByte('\x1e')
-		b.WriteString(t.Key())
+		b.WriteString(k)
 	}
 	return b.String()
 }

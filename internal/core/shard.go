@@ -93,11 +93,8 @@ func (p *Problem) FindTopKShardCtx(ctx context.Context, shard ShardSpec, floorHi
 	floor := newFloor(floorHint, false)
 	err := p.runParallelShard(ctx, workers, floor, shard, func(w int) pathYield {
 		bufs[w].k = p.K
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			bufs[w].add(scoredPkg{pkg: pkg, val: path.val(pkg)})
-			if v, full := bufs[w].floorVal(); full {
-				floor.raise(v)
-			}
+		return func(path *dfsPath) (bool, error) {
+			bufs[w].offer(path, floor)
 			return true, nil
 		}
 	})
@@ -130,8 +127,8 @@ func (p *Problem) CountValidShardCtx(ctx context.Context, bound float64, shard S
 	workers = normWorkers(workers)
 	counts := make([]paddedCount, workers)
 	err := p.runParallelShard(ctx, workers, newFloor(bound, false), shard, func(w int) pathYield {
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			if path.val(pkg) >= bound {
+		return func(path *dfsPath) (bool, error) {
+			if path.val() >= bound {
 				counts[w].n++
 			}
 			return true, nil
@@ -163,8 +160,8 @@ func (p *Problem) ExistsCountShardCtx(ctx context.Context, k int, bound float64,
 	}
 	var found atomic.Int64
 	err := p.runParallelShard(ctx, normWorkers(workers), newFloor(bound, false), shard, func(int) pathYield {
-		return func(pkg Package, path *dfsPath) (bool, error) {
-			if path.val(pkg) >= bound && found.Add(1) >= int64(k) {
+		return func(path *dfsPath) (bool, error) {
+			if path.val() >= bound && found.Add(1) >= int64(k) {
 				return false, nil // the cap cancels all workers
 			}
 			return true, nil

@@ -46,11 +46,12 @@ func (p *Problem) DecideTopK(sel []Package) (ok bool, witness *Package, err erro
 	// The selection minimum is a static exclusive floor: subtrees whose val
 	// upper bound cannot rate strictly above it hold no witness.
 	var found *Package
-	err = p.enumerateValidFloor(newFloor(minVal, true), func(n Package, path *dfsPath) (bool, error) {
-		if _, inSel := seen[n.Key()]; inSel {
+	err = p.enumerateValidFloor(newFloor(minVal, true), func(path *dfsPath) (bool, error) {
+		if _, inSel := seen[string(path.keyBuf)]; inSel {
 			return true, nil
 		}
-		if path.val(n) > minVal {
+		if path.val() > minVal {
+			n := path.pkg()
 			found = &n
 			return false, nil
 		}
@@ -106,6 +107,34 @@ func (b *topkBuf) add(s scoredPkg) {
 	}
 }
 
+// admits reports whether a package rated val with canonical key would
+// enter the buffer — add's test, decided on the key bytes so that a
+// package the buffer rejects is never materialised.
+func (b *topkBuf) admits(val float64, key []byte) bool {
+	if b.k <= 0 {
+		return false
+	}
+	if len(b.best) < b.k {
+		return true
+	}
+	w := b.best[b.k-1]
+	return w.val < val || (w.val == val && w.pkg.key > string(key))
+}
+
+// offer adds the package at path's current node when the buffer admits
+// it, materialising it only then, and raises floor to the buffer's k-th
+// rating once the buffer is full.
+func (b *topkBuf) offer(path *dfsPath, floor *searchFloor) {
+	v := path.val()
+	if !b.admits(v, path.keyBuf) {
+		return
+	}
+	b.add(scoredPkg{pkg: path.pkg(), val: v})
+	if fv, full := b.floorVal(); full {
+		floor.raise(fv)
+	}
+}
+
 // packages extracts the buffered selection in rank order.
 func (b *topkBuf) packages() []Package {
 	sel := make([]Package, len(b.best))
@@ -136,11 +165,8 @@ func (b *topkBuf) floorVal() (float64, bool) {
 func (p *Problem) findTopKScored() (scored []scoredPkg, ok bool, err error) {
 	buf := topkBuf{k: p.K}
 	floor := newFloor(math.Inf(-1), false)
-	err = p.enumerateValidFloor(floor, func(n Package, path *dfsPath) (bool, error) {
-		buf.add(scoredPkg{pkg: n, val: path.val(n)})
-		if v, full := buf.floorVal(); full {
-			floor.raise(v)
-		}
+	err = p.enumerateValidFloor(floor, func(path *dfsPath) (bool, error) {
+		buf.offer(path, floor)
 		return true, nil
 	})
 	if err != nil {
@@ -203,8 +229,8 @@ func (p *Problem) IsMaxBound(b float64) (bool, error) {
 // contribute zero to the count and are cut.
 func (p *Problem) CountValid(bound float64) (int64, error) {
 	var n int64
-	err := p.enumerateValidFloor(newFloor(bound, false), func(pkg Package, path *dfsPath) (bool, error) {
-		if path.val(pkg) >= bound {
+	err := p.enumerateValidFloor(newFloor(bound, false), func(path *dfsPath) (bool, error) {
+		if path.val() >= bound {
 			n++
 		}
 		return true, nil

@@ -84,6 +84,10 @@ type ItemResponse struct {
 	Cached    bool    `json:"cached,omitempty"`
 	Deduped   bool    `json:"deduped,omitempty"`
 	ElapsedMS float64 `json:"elapsedMs"`
+	// Version names the collection version that answered the item when
+	// it is not the batch's snapshot: a cache hit served under the key of
+	// the version a racing delta installed. Omitted otherwise.
+	Version uint64 `json:"version,omitempty"`
 }
 
 // BatchResponse summarises a batch: per-item outcomes in request order
@@ -197,11 +201,14 @@ func (s *Server) SolveBatch(ctx context.Context, breq BatchRequest) (*BatchRespo
 			itemStart := time.Now()
 			s.stats.itemStart()
 			defer s.stats.itemEnd()
-			res, cached, err := s.solveBatchItem(bctx, coll, it)
+			res, hit, err := s.solveBatchItem(bctx, coll, it)
 			s.stats.observe(time.Since(itemStart))
 			ir := ItemResponse{
-				Cached:    cached,
+				Cached:    hit != nil,
 				ElapsedMS: float64(time.Since(itemStart)) / float64(time.Millisecond),
+			}
+			if hit != nil && hit != coll {
+				ir.Version = hit.version
 			}
 			if err != nil {
 				var ov *OverloadError
@@ -240,6 +247,7 @@ func (s *Server) SolveBatch(ctx context.Context, breq BatchRequest) (*BatchRespo
 			Result:  lead.Result,
 			Cached:  lead.Cached,
 			Deduped: true,
+			Version: lead.Version,
 		}
 		s.stats.addDeduped()
 	}
@@ -262,13 +270,15 @@ func (s *Server) SolveBatch(ctx context.Context, breq BatchRequest) (*BatchRespo
 // solveBatchItem serves one lead item: result-cache lookup, then a
 // coalesced, pool-bounded run of the shared prepared problem. The flight
 // key is the same one single solves use, so a batch item also coalesces
-// with identical /v1/solve traffic in flight at the same time.
-func (s *Server) solveBatchItem(ctx context.Context, coll *collection, it *batchItem) (*Result, bool, error) {
+// with identical /v1/solve traffic in flight at the same time. Besides
+// the result it returns the collection version whose cache entry
+// answered the item, nil when the item was solved.
+func (s *Server) solveBatchItem(ctx context.Context, coll *collection, it *batchItem) (*Result, *collection, error) {
 	v := it.v
 	if !v.req.NoCache {
-		if res, ok := s.cacheLookup(coll, v); ok {
+		if res, hit, ok := s.cacheLookup(coll, v); ok {
 			s.stats.lookup(true)
-			return res, true, nil
+			return res, hit, nil
 		}
 		s.stats.lookup(false)
 	}
@@ -287,5 +297,5 @@ func (s *Server) solveBatchItem(ctx context.Context, coll *collection, it *batch
 	if shared {
 		s.stats.addCoalesced()
 	}
-	return res, false, err
+	return res, nil, err
 }

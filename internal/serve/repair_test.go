@@ -200,3 +200,75 @@ func TestRepairSoundnessUnderChurn(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSecondChanceHitNamesAnsweringVersion installs a delta between a
+// request's validation and its cache lookup. The lookup misses under the
+// validated snapshot's key and hits the entry repair moved to the new
+// version's key; the response must name that version and fingerprint,
+// and its answer must equal the library's on that version. In a batch the
+// item (and its deduplicated twin) carries that version itself while the
+// batch still names its snapshot; an item answered on the snapshot
+// carries none.
+func TestSecondChanceHitNamesAnsweringVersion(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		base := experiments.WorkloadDB(24)
+		s := NewServer(Options{})
+		old := s.SetCollection("live", base)
+		req := Request{Collection: "live", Op: OpCount, Spec: poiSpec(300)}
+		item := BatchItem{Op: req.Op, Spec: req.Spec}
+		breq := BatchRequest{Collection: "live", Items: []BatchItem{item, item}}
+		if batch {
+			warm := mustBatch(t, s, breq)
+			for i, it := range warm.Items {
+				if it.Version != 0 {
+					t.Fatalf("item %d answered on the batch snapshot carries version %d", i, it.Version)
+				}
+			}
+		} else {
+			mustSolve(t, s, req)
+		}
+
+		// A delta outside the query's filter: the entry is rekeyed to the
+		// new version's key, not dropped.
+		d := experiments.RepairChurnDelta(0)
+		res, err := base.ApplyDelta(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var once sync.Once
+		s.lookupHook = func() {
+			once.Do(func() {
+				if _, err := s.MutateCollection("live", d); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		var got *Response
+		if batch {
+			bresp := mustBatch(t, s, breq)
+			if bresp.Version != old.Version {
+				t.Fatalf("batch names version %d, want its snapshot %d", bresp.Version, old.Version)
+			}
+			for i, it := range bresp.Items {
+				if !it.Cached || it.Version != old.Version+1 {
+					t.Fatalf("item %d: cached=%v version=%d, want a cache hit on version %d", i, it.Cached, it.Version, old.Version+1)
+				}
+			}
+			first := bresp.Items[0]
+			got = &Response{Result: *first.Result, Version: first.Version}
+		} else {
+			got = mustSolve(t, s, req)
+			cur, _ := s.Collection("live")
+			if !got.Cached || got.Version != cur.Version || got.Fingerprint != cur.Fingerprint {
+				t.Fatalf("second-chance hit: cached=%v version=%d fingerprint=%s, want version %d fingerprint %s",
+					got.Cached, got.Version, got.Fingerprint, cur.Version, cur.Fingerprint)
+			}
+		}
+		if st := s.Stats(); st.RepairRekeyed == 0 {
+			t.Fatalf("the delta rekeyed no entry: %+v", st)
+		}
+		if err := verifyAgainstLibrary(req, got, res.DB); err != nil {
+			t.Fatalf("batch=%v: %v", batch, err)
+		}
+	}
+}

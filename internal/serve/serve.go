@@ -207,6 +207,10 @@ type Server struct {
 	// holds its pool slot — the knob the admission soak uses to give
 	// solves a deterministic, per-collection duration.
 	solveHook func(v validated)
+	// lookupHook, when set (tests only), runs at the start of every
+	// result-cache lookup, after the request validated against its
+	// snapshot — where a test installs a racing delta.
+	lookupHook func()
 }
 
 // NewServer builds a Server; see Options for the zero-value defaults.
@@ -692,10 +696,10 @@ func (s *Server) Solve(ctx context.Context, req Request) (*Response, error) {
 	req, key := v.req, v.key
 
 	if !req.NoCache {
-		if res, ok := s.cacheLookup(coll, v); ok {
+		if res, hit, ok := s.cacheLookup(coll, v); ok {
 			s.stats.lookup(true)
 			s.stats.observe(time.Since(start))
-			return s.respond(res, coll, true, start), nil
+			return s.respond(res, hit, true, start), nil
 		}
 		// Only consulted lookups count toward the hit rate; NoCache
 		// traffic opted out and must not skew it.
@@ -746,28 +750,34 @@ func (s *Server) countFailure(err error) {
 	s.stats.addError()
 }
 
-// cacheLookup consults the result cache for a validated request. On a miss
-// it gives the lookup one second chance under the currently installed
-// version's fingerprint: the request may have validated against a snapshot
-// a delta superseded in the meantime, while the repair pipeline moved the
-// wanted entry to its resealed key. Serving that entry is sound — it is
-// the current version's exact answer, and a request racing a delta may be
-// answered on either side of it.
-func (s *Server) cacheLookup(coll *collection, v validated) (*Result, bool) {
+// cacheLookup consults the result cache for a validated request and
+// returns the hit together with the collection version whose key hit. On
+// a miss it gives the lookup one second chance under the currently
+// installed version's fingerprint: the request may have validated against
+// a snapshot a delta superseded in the meantime, while the repair pipeline
+// moved the wanted entry to its resealed key. Serving that entry is sound
+// — it is the current version's exact answer, and a request racing a
+// delta may be answered on either side of it — provided the response
+// names the current version, which is why that version is returned.
+func (s *Server) cacheLookup(coll *collection, v validated) (*Result, *collection, bool) {
+	if s.lookupHook != nil {
+		s.lookupHook()
+	}
 	if res, ok := s.cache.get(v.key); ok {
-		return res, true
+		return res, coll, true
 	}
 	s.mu.RLock()
 	cur := s.colls[coll.name]
 	s.mu.RUnlock()
 	if cur == nil || cur == coll {
-		return nil, false
+		return nil, nil, false
 	}
 	key := sealCacheKey(coll.name, cur.relevant(v.deps, v.keyAll), v.keyRest)
 	if key == v.key {
-		return nil, false
+		return nil, nil, false
 	}
-	return s.cache.get(key)
+	res, ok := s.cache.get(key)
+	return res, cur, ok
 }
 
 func (s *Server) respond(res *Result, coll *collection, cached bool, start time.Time) *Response {
